@@ -82,16 +82,27 @@ let name r (w : Width.t) =
   let b, wd, d, q = legacy_names r in
   match w with W8 -> b | W16 -> wd | W32 -> d | W64 -> q
 
-let name_table =
-  lazy
-    (let tbl = Hashtbl.create 64 in
-     List.iter
-       (fun r ->
-         List.iter (fun w -> Hashtbl.replace tbl (name r w) (r, w)) Width.all)
-       all;
-     tbl)
+(* Built on first use and published through an atomic rather than a
+   [Lazy]: parser calls may come from several domains at once, and a
+   concurrent [Lazy.force] raises [Lazy.Undefined]. A racing domain may
+   build the table twice but never sees it half-built; once published it
+   is only read. *)
+let name_table_cell : (string, t * Width.t) Hashtbl.t option Atomic.t =
+  Atomic.make None
 
-let of_name s = Hashtbl.find_opt (Lazy.force name_table) (String.uppercase_ascii s)
+let name_table () =
+  match Atomic.get name_table_cell with
+  | Some tbl -> tbl
+  | None ->
+      let tbl = Hashtbl.create 64 in
+      List.iter
+        (fun r ->
+          List.iter (fun w -> Hashtbl.replace tbl (name r w) (r, w)) Width.all)
+        all;
+      Atomic.set name_table_cell (Some tbl);
+      tbl
+
+let of_name s = Hashtbl.find_opt (name_table ()) (String.uppercase_ascii s)
 let pp fmt r = Format.pp_print_string fmt (name r Width.W64)
 let equal (a : t) (b : t) = a = b
 let compare (a : t) (b : t) = Stdlib.compare a b

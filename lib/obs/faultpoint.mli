@@ -65,4 +65,4 @@ val hits : point -> int
 val parse_spec : string -> ((string * cfg) list, string) result
 (** Parse a CLI spec: comma-separated [name:rate], with optional
     [@after] (skip the first N hits) and [#max] (cap the fire count),
-    e.g. ["pool.worker:0.05,writer.io:1.0@10#2"]. *)
+    e.g. ["model.ctrace:0.05,writer.io:1.0@10#2"]. *)

@@ -1,16 +1,15 @@
 (** Process-wide metrics registry.
 
     Counters, gauges and log2-bucketed histograms, registered once by
-    name and updated lock-free from any domain ([Atomic] cells — the
-    model pool and parallel fuzzing campaigns all write into the same
-    registry). Handles are meant to be hoisted to module level so the hot
+    name and updated lock-free from any domain ([Atomic] cells — every
+    domain of a pipelined campaign writes into the same registry). Handles are meant to be hoisted to module level so the hot
     path pays one atomic operation per update and never takes the
     registry lock.
 
     Naming convention (relied on by the determinism tests and the stage
     tables): metrics measuring {e time} end in ["ns"] (excluded from
-    cross-domain determinism comparisons), per-domain metrics start with
-    ["pool."], and per-stage probes populate ["stage.<name>.ns"] /
+    cross-domain determinism comparisons), pool scheduling metrics start
+    with ["pool."], and per-stage probes populate ["stage.<name>.ns"] /
     ["stage.<name>.calls"] / ["stage.<name>.hist_ns"] (see {!Probe}). *)
 
 type counter

@@ -20,14 +20,14 @@ let subset_names subsets =
   String.concat "+" (List.map Revizor_isa.Catalog.subset_to_string subsets)
 
 (* Canonical rendering of every config field that shapes the result
-   stream. [model_domains], [executor_domains] and [pipeline_depth] are
-   deliberately absent: pool scheduling is deterministic-by-index and the
-   pipelined loop commits in generation order with per-test-case keyed
-   noise/fault draws, so results are identical for every pool size and
-   overlap depth (asserted by the test suite) and a checkpoint taken with
-   [--executor-domains 4] may be resumed with [-j 1] on a smaller
-   machine. The noise seed, by contrast, is rendered: keyed draws make it
-   part of the deterministic result stream. *)
+   stream. [executor_domains] and [pipeline_depth] are deliberately
+   absent: the pipelined loop commits in generation order with
+   per-test-case keyed noise/fault draws, so results are identical for
+   every pool size and overlap depth (asserted by the test suite) and a
+   checkpoint taken with [--executor-domains 4] may be resumed with
+   [--executor-domains 1] on a smaller machine. The noise seed, by
+   contrast, is rendered: keyed draws make it part of the deterministic
+   result stream. *)
 let canonical (c : Fuzzer.config) =
   let e = c.Fuzzer.executor in
   let g = c.Fuzzer.gen_cfg in
@@ -132,8 +132,6 @@ let to_json config (s : Fuzzer.snapshot) =
       ("version", Json.Int version);
       ("fingerprint", Json.String (fingerprint config));
       ("prng", hex64 s.Fuzzer.sn_prng);
-      ( "noise_prng",
-        match s.Fuzzer.sn_noise with None -> Json.Null | Some v -> hex64 v );
       ("gen_cfg", gen_cfg_to_json s.Fuzzer.sn_gen_cfg);
       ("n_inputs", Json.Int s.Fuzzer.sn_n_inputs);
       ("in_round", Json.Int s.Fuzzer.sn_in_round);
@@ -174,11 +172,6 @@ let of_json config j =
     | Some v -> parse_hex64 v
     | None -> Error "checkpoint: missing prng"
   in
-  let* sn_noise =
-    match Json.member "noise_prng" j with
-    | None | Some Json.Null -> Ok None
-    | Some v -> Result.map Option.some (parse_hex64 v)
-  in
   let* sn_gen_cfg =
     match Json.member "gen_cfg" j with
     | Some g -> gen_cfg_of_json g
@@ -213,7 +206,6 @@ let of_json config j =
   Ok
     {
       Fuzzer.sn_prng;
-      sn_noise;
       sn_gen_cfg;
       sn_n_inputs;
       sn_in_round;

@@ -7,9 +7,9 @@
     under; {!load} rejects checkpoints whose fingerprint does not match
     the current configuration, because resuming a PRNG mid-stream under
     different parameters would silently produce a run that corresponds to
-    no seed at all. [model_domains] is excluded from the fingerprint:
-    results are pool-size-independent, so a checkpoint may be resumed
-    with a different [-j]. *)
+    no seed at all. [executor_domains] and [pipeline_depth] are excluded
+    from the fingerprint: results are pool-size-independent, so a
+    checkpoint may be resumed with a different [--executor-domains]. *)
 
 val schema : string
 (** ["revizor.checkpoint.v1"]. *)

@@ -39,8 +39,8 @@ let stage_probes =
 let stages_total_ns () =
   List.fold_left (fun acc p -> acc + Probe.time_ns p) 0 stage_probes
 
-(* Registry mirrors of [stats]: same totals, but process-wide (parallel
-   campaigns sum into them) and snapshotable mid-run by dashboards. *)
+(* Registry mirrors of [stats]: same totals, but process-wide and
+   snapshotable mid-run by dashboards. *)
 let m_test_cases = Metrics.counter "fuzzer.test_cases"
 let m_inputs_tested = Metrics.counter "fuzzer.inputs_tested"
 let m_effective = Metrics.counter "fuzzer.effective_inputs"
@@ -95,15 +95,14 @@ type config = {
   entropy : int;
   round_length : int;
   seed : int64;
-  model_domains : int;
   executor_domains : int;
   pipeline_depth : int;
   engine : engine;
   watchdog : Watchdog.t;
 }
 
-let default_config ?(seed = 1L) ?(model_domains = 1) ?(executor_domains = 1)
-    ?(pipeline_depth = 1) contract uarch executor =
+let default_config ?(seed = 1L) ?(executor_domains = 1) ?(pipeline_depth = 1)
+    contract uarch executor =
   {
     contract;
     uarch;
@@ -113,7 +112,6 @@ let default_config ?(seed = 1L) ?(model_domains = 1) ?(executor_domains = 1)
     entropy = 2;
     round_length = 25;
     seed;
-    model_domains;
     executor_domains;
     pipeline_depth;
     engine = Compiled;
@@ -170,9 +168,6 @@ type budget = Test_cases of int | Seconds of float
    accumulated wall time (the one field excluded from bit-identity). *)
 type snapshot = {
   sn_prng : int64;  (** main campaign PRNG *)
-  sn_noise : int64 option;
-      (** always [None] since noise went keyed (kept for checkpoint-codec
-          compatibility with pre-PR7 snapshots) *)
   sn_gen_cfg : Generator.cfg;
   sn_n_inputs : int;
   sn_in_round : int;
@@ -182,25 +177,18 @@ type snapshot = {
   sn_ucoverage : Ucoverage.t;
 }
 
-(* Contract traces, fanned out over the model pool when one is given. A
-   missing pool (or a pool of size 1) is the exact sequential path. *)
-let model_ctraces ?pool ?watchdog ?templates ?stream contract prog inputs =
-  match pool with
-  | Some p -> Model.ctraces_par ?watchdog ?templates ?stream p contract prog inputs
-  | None -> Model.ctraces ?watchdog ?templates ?stream contract prog inputs
-
 (* The nesting re-check (§5.4): recompute contract traces with nested
    speculation enabled; the violating pair must still share a class and
    still diverge. *)
-let nesting_recheck ?pool ?templates config prog inputs measurements
+let nesting_recheck ?templates config prog inputs measurements
     (cand : Analyzer.candidate) =
   if config.contract.Contract.nesting then true
   else begin
     let nested = Contract.with_nesting config.contract in
     let results =
       Probe.with_span sp_nesting (fun () ->
-          model_ctraces ?pool ~watchdog:config.watchdog ?templates
-            ~stream:`First nested prog inputs)
+          Model.ctraces ~watchdog:config.watchdog ?templates ~stream:`First
+            nested prog inputs)
     in
     if List.exists (fun (r : Model.result) -> r.Model.faulted) results then false
     else
@@ -241,7 +229,7 @@ type checked = {
    analyze, measure, hunt. Takes the already-compiled program so the
    pipelined loop can compile on the coordinating domain (keeping the
    main PRNG there) while this runs on a worker. *)
-let check_compiled ?pool ?arena config executor program prog inputs :
+let check_compiled ?arena config executor program prog inputs :
     (checked, string) result =
   (
       (* Materialize each input's architectural state exactly once per
@@ -263,8 +251,8 @@ let check_compiled ?pool ?arena config executor program prog inputs :
       in
       let results =
         Probe.with_span sp_model (fun () ->
-            model_ctraces ?pool ~watchdog:config.watchdog ~templates
-              ~stream:`First config.contract prog inputs)
+            Model.ctraces ~watchdog:config.watchdog ~templates ~stream:`First
+              config.contract prog inputs)
       in
       if List.exists (fun (r : Model.result) -> r.Model.faulted) results then
         Error "architectural fault"
@@ -341,7 +329,7 @@ let check_compiled ?pool ?arena config executor program prog inputs :
                     hunt (pair :: excluding) (attempts - 1) ~swapped:true ~nested
                   else if
                     not
-                      (nesting_recheck ?pool ~templates config prog inputs
+                      (nesting_recheck ~templates config prog inputs
                          measurements cand)
                   then
                     hunt (pair :: excluding) (attempts - 1) ~swapped ~nested:true
@@ -401,7 +389,7 @@ let check_compiled ?pool ?arena config executor program prog inputs :
           in
           hunt [] 5 ~swapped:false ~nested:false)
 
-let check_test_case_full ?pool ?arena config executor program inputs :
+let check_test_case_full ?arena config executor program inputs :
     (checked, string) result =
   match Program.flatten program with
   | Error msg -> Error msg
@@ -414,11 +402,11 @@ let check_test_case_full ?pool ?arena config executor program inputs :
       let prog =
         Probe.with_span sp_compile (fun () -> compile_with config.engine flat)
       in
-      check_compiled ?pool ?arena config executor program prog inputs
+      check_compiled ?arena config executor program prog inputs
 
-let check_test_case ?pool config executor program inputs =
+let check_test_case config executor program inputs =
   Result.map (fun c -> c.violation)
-    (check_test_case_full ?pool config executor program inputs)
+    (check_test_case_full config executor program inputs)
 
 (* Everything a test case can come back as. Folding the two absorbable
    exceptions into a value lets the pipelined loop ship outcomes across
@@ -472,10 +460,8 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
     | Some s -> Prng.of_state s.sn_prng
     | None -> Prng.create ~seed:config.seed
   in
-  (* Noise draws are keyed on (noise seed, test-case coordinates) —
-     there is no sequential noise stream to rewind on resume anymore, so
-     snapshots carry [sn_noise = None] (old checkpoints with a stored
-     stream position are still decodable; the position is ignored). *)
+  (* Noise draws are keyed on (noise seed, test-case coordinates), so
+     there is no noise stream position to snapshot or rewind. *)
   let cpu = Cpu.create config.uarch in
   let executor = Executor.create cpu config.executor in
   (* One template arena per campaign: every test case refills the same
@@ -483,14 +469,6 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
      {!Arena}). *)
   let arena = Arena.create () in
   let exec_domains = max 1 config.executor_domains in
-  (* The two pools are alternatives, not layers: with a whole-pipeline
-     executor pool each test case runs single-threaded on its domain, so
-     an inner model pool would only oversubscribe. *)
-  let pool =
-    if exec_domains < 2 && config.model_domains > 1 then
-      Some (Pool.create config.model_domains)
-    else None
-  in
   let epool = if exec_domains > 1 then Some (Pool.create exec_domains) else None in
   let stats =
     match resume with
@@ -517,9 +495,7 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
     ref (match resume with Some s -> s.sn_n_inputs | None -> config.n_inputs)
   in
   set_gen_gauges !gen_cfg ~n_inputs:!n_inputs;
-  Metrics.set_gauge g_domain_count
-    (float_of_int
-       (if exec_domains > 1 then exec_domains else max 1 config.model_domains));
+  Metrics.set_gauge g_domain_count (float_of_int exec_domains);
   sample_runtime ();
   if Telemetry.enabled () then
     Telemetry.event "fuzz.start"
@@ -528,7 +504,6 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
         ("contract", Json.String (Contract.name config.contract));
         ("uarch", Json.String config.uarch.Uarch_config.name);
         ("n_inputs", Json.Int config.n_inputs);
-        ("model_domains", Json.Int config.model_domains);
         ("executor_domains", Json.Int exec_domains);
         ("pipeline_depth", Json.Int (max 0 config.pipeline_depth));
       ];
@@ -549,12 +524,6 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
      without synchronization. *)
   let campaign_state = ref "running" in
   let last_checkpoint = ref None in
-  let pool_health () =
-    let info p = (Pool.is_degraded p, Pool.failures p) in
-    match (epool, pool) with
-    | Some p, _ | None, Some p -> info p
-    | None, None -> (false, 0)
-  in
   (match monitor with
   | None -> ()
   | Some mon ->
@@ -598,13 +567,10 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
                 | Json.Obj kvs -> Json.Obj (base @ kvs)
                 | j -> j)
           | "health" ->
-              let degraded, failures = pool_health () in
               Some
                 (Json.Obj
                    (base
                    @ [
-                       ("pool_degraded", Json.Bool degraded);
-                       ("pool_failures", Json.Int failures);
                        ( "watchdog_trips",
                          Json.Int (Metrics.value Watchdog.m_skipped) );
                        ( "faulted_test_cases",
@@ -633,7 +599,6 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
   let take_snapshot ~prng_state =
     {
       sn_prng = prng_state;
-      sn_noise = None;
       sn_gen_cfg = !gen_cfg;
       sn_n_inputs = !n_inputs;
       sn_in_round = !in_round;
@@ -774,7 +739,6 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
   let last_prng = ref (Prng.state prng) in
   Fun.protect
     ~finally:(fun () ->
-      Option.iter Pool.shutdown pool;
       Option.iter Pool.shutdown epool;
       Revizor_obs.Faultpoint.clear_context ())
   @@ fun () ->
@@ -808,7 +772,7 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
         Metrics.add m_inputs_tested (List.length inputs);
         commit_outcome
           (classify (fun () ->
-               check_test_case_full ?pool ~arena config executor program inputs));
+               check_test_case_full ~arena config executor program inputs));
         round_boundary ~prng_state:!last_prng;
         (* Attribute this iteration's wall time not covered by any stage
            span (input-list plumbing, stats/coverage bookkeeping,
@@ -964,38 +928,6 @@ let fuzz ?on_progress ?(should_stop = fun () -> false) ?resume
       ]
   end;
   (!result, stats)
-
-let fuzz_parallel ?(domains = 4) config ~budget =
-  let domains = max 1 domains in
-  let found = Atomic.make false in
-  let split_budget =
-    match budget with
-    | Test_cases n -> Test_cases (max 1 ((n + domains - 1) / domains))
-    | Seconds _ -> budget
-  in
-  let campaign i =
-    let cfg =
-      { config with seed = Int64.add config.seed (Int64.of_int (i * 6271)) }
-    in
-    let outcome, stats =
-      fuzz ~should_stop:(fun () -> Atomic.get found) cfg ~budget:split_budget
-    in
-    (match outcome with Violation _ -> Atomic.set found true | No_violation -> ());
-    (outcome, stats)
-  in
-  let workers =
-    List.init (domains - 1) (fun i -> Domain.spawn (fun () -> campaign (i + 1)))
-  in
-  let first = campaign 0 in
-  let results = first :: List.map Domain.join workers in
-  let outcome =
-    match
-      List.find_opt (function Violation _, _ -> true | No_violation, _ -> false) results
-    with
-    | Some (o, _) -> o
-    | None -> No_violation
-  in
-  (outcome, List.map snd results)
 
 let stats_to_json s =
   Json.Obj

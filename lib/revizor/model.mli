@@ -55,7 +55,6 @@ val run_state :
 val batch :
   ?max_steps:int ->
   ?watchdog:Watchdog.t ->
-  ?pool:Pool.t ->
   ?stream:[ `All | `First ] ->
   Contract.t ->
   Compiled.t ->
@@ -63,14 +62,14 @@ val batch :
   Input.t list ->
   result list
 (** The batched model stage: specialize a per-test-case closure once
-    (contract dispatch, fused straight-line-run metadata, pool decision),
+    (contract dispatch, fused straight-line-run metadata),
     then invoke it with the full input set. Every input executes on a
     preallocated per-domain scratch state reset in place from its
     template (arena allocation: no per-input state, access-list or
     outcome allocation), with basic-block superinstruction fusion and
     dead-flag elision on the hot path. Results are bit-identical to
     mapping {!run_state} over the inputs — same ctraces, same faults,
-    same order — for every pool size.
+    same order.
 
     [stream] selects instruction-stream recording: [`All] (default)
     records every input's stream like {!run}; [`First] records only
@@ -86,23 +85,8 @@ val ctraces :
   Compiled.t ->
   Input.t list ->
   result list
-(** Contract traces for each input in order ([batch] without a pool).
+(** Contract traces for each input in order ({!batch} applied at once).
     When [templates] (from {!Input.templates} or {!Arena.templates},
     indexed like the list) is given, each run starts from a blit-restore
     of the corresponding template instead of re-deriving the state from
     the input's PRNG seed. *)
-
-val ctraces_par :
-  ?max_steps:int ->
-  ?watchdog:Watchdog.t ->
-  ?templates:State.t array ->
-  ?stream:[ `All | `First ] ->
-  Pool.t ->
-  Contract.t ->
-  Compiled.t ->
-  Input.t list ->
-  result list
-(** {!ctraces} with the independent per-input runs fanned out over a
-    domain pool. The result is identical (same values, same order) for
-    every pool size; a pool of size 1 takes the exact sequential
-    {!ctraces} path. *)

@@ -1,46 +1,10 @@
-(* A small reusable domain pool for intra-test-case parallelism, with
-   supervision (DESIGN.md §8).
+(* A small reusable domain pool for the pipelined fuzz loop.
 
-   [size - 1] worker domains block on a task queue; the submitting domain
-   participates in the work itself, so a pool of size 1 spawns nothing and
-   degenerates to plain sequential execution. Work items are index ranges
-   handed out through an atomic counter, which keeps the scheduling
-   deterministic-by-index: results land in slot [i] no matter which domain
-   computed them.
-
-   Supervision: a participant that crashes in the pool harness itself
-   (modelled by the [pool.worker] fault point; in real life a domain
-   blowing up outside the user function) parks its claimed index on a
-   failure list and stops draining. The submitting domain doubles as the
-   supervisor — after its own drain it retries parked indices itself (a
-   surviving worker), so every item completes and [map_array]'s result is
-   identical to the sequential map. After [max_failures] crashes the pool
-   permanently degrades to sequential execution; the degradation is a
-   metrics counter and telemetry event, not a campaign abort. *)
+   [size - 1] worker domains block on a FIFO task queue; the submitting
+   domain helps drain the queue while it waits on a future, so a pool of
+   size 1 spawns nothing and runs every task inline. *)
 
 module Metrics = Revizor_obs.Metrics
-module Telemetry = Revizor_obs.Telemetry
-module Faultpoint = Revizor_obs.Faultpoint
-module Json = Revizor_obs.Json
-module Clock = Revizor_obs.Clock
-
-(* The per-call work state lives in one record reused across [map_array]
-   calls, so the hot path allocates no fresh atomics, locks or drain
-   closures per call — only the single [j_run] closure binding the call's
-   own [f]/input array/result slots. The claim counter [j_next] packs the
-   job epoch in its high bits (see [drain]) so stale drain tasks left in
-   the queue by a previous call can never steal indices from the current
-   one. *)
-type job = {
-  j_epoch : int Atomic.t;  (* bumped at the start of every map_array *)
-  j_next : int Atomic.t;  (* packed [epoch lsl epoch_bits lor index] *)
-  j_remaining : int Atomic.t;
-  j_lock : Mutex.t;
-  j_done : Condition.t;
-  mutable j_parked : int list;
-  mutable j_n : int;
-  mutable j_run : int -> unit;
-}
 
 type t = {
   size : int;
@@ -49,119 +13,10 @@ type t = {
   queue : (unit -> unit) Queue.t;
   mutable stopped : bool;
   mutable workers : unit Domain.t list;
-  failures : int Atomic.t;  (* worker crashes over the pool's lifetime *)
-  max_failures : int;
-  degraded : bool Atomic.t;
-  job : job;
-  mutable drain_task : unit -> unit;
-      (* the one drain closure every map_array submits *)
-  task_counters : Metrics.counter array;
-      (* per-participant utilization: slot 0 is the submitting domain,
-         slots 1.. are the workers; [pool.domain<i>.tasks] in the
-         registry. Inherently scheduling-dependent, hence excluded from
-         the cross-domain determinism guarantees. *)
 }
 
-(* Which pool slot the current domain occupies, for utilization
-   accounting: workers set their slot once at spawn; the submitting
-   domain re-asserts slot 0 on every [map_array]. *)
-let slot_key = Domain.DLS.new_key (fun () -> 0)
-
-let m_map_calls = Metrics.counter "pool.map_calls"
-let m_items = Metrics.counter "pool.items"
-let m_crashes = Metrics.counter "pool.worker_crashes"
-let m_retried = Metrics.counter "pool.retried_items"
-let m_degradations = Metrics.counter "pool.degradations"
-let h_task_ns = Metrics.histogram "pool.task_ns"
-
-let fp_worker = Faultpoint.point "pool.worker"
-
-let epoch_bits = 32
-let index_mask = (1 lsl epoch_bits) - 1
-
-let record_crash p =
-  Metrics.incr m_crashes;
-  let n = Atomic.fetch_and_add p.failures 1 + 1 in
-  if Telemetry.enabled () then
-    Telemetry.event "pool.worker_crash" [ ("failures", Json.Int n) ];
-  if n >= p.max_failures && not (Atomic.exchange p.degraded true) then begin
-    Metrics.incr m_degradations;
-    if Telemetry.enabled () then
-      Telemetry.event "pool.degraded" [ ("after_failures", Json.Int n) ]
-  end
-
-let park j i =
-  Mutex.lock j.j_lock;
-  j.j_parked <- i :: j.j_parked;
-  Condition.signal j.j_done;
-  Mutex.unlock j.j_lock
-
-(* One participant's claim loop over the pool's current job. Validation
-   order matters for staleness: a claim decoding an epoch other than the
-   live one is from a previous job's counter and is discarded; a claim
-   with the live epoch but an index beyond [j_n] means the counter is
-   exhausted. [map_array] bumps the epoch before touching [j_n]/[j_run]
-   and publishes the reset counter last, so every claim that passes both
-   checks belongs to the current job — and a participant holding such a
-   claim blocks job completion (the item can only be finished by that
-   participant), which keeps [j_run]/[j_n] stable underneath it.
-
-   The per-item bookkeeping is allocation- and DLS-lookup-free: the
-   participant's utilization counter is resolved once per drain and
-   flushed in one [Metrics.add]; task latency goes to the [pool.task_ns]
-   histogram on every 16th item by index (deterministic sampling, and the
-   name is excluded from cross-domain determinism checks like every other
-   wall-clock metric). *)
-let drain p =
-  let j = p.job in
-  let counter = p.task_counters.(Domain.DLS.get slot_key) in
-  let done_here = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let v = Atomic.fetch_and_add j.j_next 1 in
-    let e = v lsr epoch_bits and i = v land index_mask in
-    if e <> Atomic.get j.j_epoch || i >= j.j_n then continue := false
-    else if Faultpoint.should_fire fp_worker then begin
-      (* Simulated domain crash: the claimed item is recovered by the
-         supervisor; this participant is gone for the rest of the
-         call. *)
-      record_crash p;
-      park j i;
-      continue := false
-    end
-    else begin
-      (if i land 15 = 0 then begin
-         let t0 = Clock.now_ns () in
-         j.j_run i;
-         Metrics.observe h_task_ns (Clock.now_ns () - t0)
-       end
-       else j.j_run i);
-      incr done_here
-    end
-  done;
-  if !done_here > 0 then Metrics.add counter !done_here
-
-(* Recovery drain for the supervisor: claims like [drain] but never
-   consults the fault point — the supervisor context is the recovery
-   path, and it must make progress even when every schedule entry says
-   "crash". Only ever runs inside the supervisor's own [map_array], so no
-   epoch check is needed. *)
-let drain_unclaimed p =
-  let j = p.job in
-  let counter = p.task_counters.(Domain.DLS.get slot_key) in
-  let done_here = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let v = Atomic.fetch_and_add j.j_next 1 in
-    let i = v land index_mask in
-    if i >= j.j_n then continue := false
-    else begin
-      j.j_run i;
-      incr done_here
-    end
-  done;
-  if !done_here > 0 then Metrics.add counter !done_here
-
+(* Every queued task is a [spawn] wrapper, which captures the task's
+   exception into its future: nothing escapes into the worker loop. *)
 let worker p =
   let rec loop () =
     Mutex.lock p.lock;
@@ -172,16 +27,13 @@ let worker p =
     else begin
       let task = Queue.pop p.queue in
       Mutex.unlock p.lock;
-      (* A drain task never lets exceptions escape (crashes are parked on
-         the failure list), but an unexpected one must not kill the
-         domain: the pool would silently lose parallelism. *)
-      (try task () with _ -> record_crash p);
+      task ();
       loop ()
     end
   in
   loop ()
 
-let create ?(max_failures = 8) size =
+let create size =
   let size = max 1 size in
   let p =
     {
@@ -191,123 +43,11 @@ let create ?(max_failures = 8) size =
       queue = Queue.create ();
       stopped = false;
       workers = [];
-      failures = Atomic.make 0;
-      max_failures = max 1 max_failures;
-      degraded = Atomic.make false;
-      job =
-        {
-          j_epoch = Atomic.make 0;
-          j_next = Atomic.make 0;
-          j_remaining = Atomic.make 0;
-          j_lock = Mutex.create ();
-          j_done = Condition.create ();
-          j_parked = [];
-          j_n = 0;
-          j_run = ignore;
-        };
-      drain_task = ignore;
-      task_counters =
-        Array.init size (fun i ->
-            Metrics.counter (Printf.sprintf "pool.domain%d.tasks" i));
     }
   in
-  p.drain_task <- (fun () -> drain p);
   if size > 1 then
-    p.workers <-
-      List.init (size - 1) (fun i ->
-          Domain.spawn (fun () ->
-              Domain.DLS.set slot_key (i + 1);
-              worker p));
+    p.workers <- List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker p));
   p
-
-let size p = p.size
-let failures p = Atomic.get p.failures
-let is_degraded p = Atomic.get p.degraded
-
-let submit p task =
-  Mutex.lock p.lock;
-  Queue.push task p.queue;
-  Condition.signal p.nonempty;
-  Mutex.unlock p.lock
-
-let map_array p f arr =
-  let n = Array.length arr in
-  if p.size <= 1 || n <= 1 || Atomic.get p.degraded then Array.map f arr
-  else begin
-    Domain.DLS.set slot_key 0;
-    Metrics.incr m_map_calls;
-    Metrics.add m_items n;
-    let results = Array.make n None in
-    let j = p.job in
-    (* Initialize the reused job record for this call. The epoch bump
-       comes first and the claim-counter reset last: a stale drain task
-       waking mid-reset either decodes the old epoch (discarded) or sees
-       the fully-published new job (legitimate participation). *)
-    let epoch = Atomic.get j.j_epoch + 1 in
-    Atomic.set j.j_epoch epoch;
-    j.j_n <- n;
-    j.j_parked <- [];
-    Atomic.set j.j_remaining n;
-    (* [f]'s own exceptions are captured per item and re-raised after the
-       barrier so a failing task cannot deadlock the pool; a harness
-       crash instead parks the claimed index for the supervisor. The last
-       finisher signals the completion barrier instead of every waiter
-       spinning on [j_remaining]. *)
-    j.j_run <-
-      (fun i ->
-        let outcome =
-          match f arr.(i) with v -> Ok v | exception e -> Error e
-        in
-        results.(i) <- Some outcome;
-        if Atomic.fetch_and_add j.j_remaining (-1) = 1 then begin
-          Mutex.lock j.j_lock;
-          Condition.signal j.j_done;
-          Mutex.unlock j.j_lock
-        end);
-    Atomic.set j.j_next (epoch lsl epoch_bits);
-    for _ = 1 to min (p.size - 1) (n - 1) do
-      submit p p.drain_task
-    done;
-    drain p;
-    (* Supervision loop: retry parked indices and adopt any indices left
-       unclaimed by crashed participants (including this domain's own
-       simulated crash), until every slot is filled. *)
-    Mutex.lock j.j_lock;
-    while Atomic.get j.j_remaining > 0 do
-      match j.j_parked with
-      | [] ->
-          if Atomic.get j.j_next land index_mask < n then begin
-            (* Participants died before claiming everything: the
-               supervisor finishes the sweep itself. *)
-            Mutex.unlock j.j_lock;
-            drain_unclaimed p;
-            Mutex.lock j.j_lock
-          end
-          else Condition.wait j.j_done j.j_lock
-      | is ->
-          j.j_parked <- [];
-          Mutex.unlock j.j_lock;
-          let counter = p.task_counters.(Domain.DLS.get slot_key) in
-          List.iter
-            (fun i ->
-              Metrics.incr m_retried;
-              j.j_run i;
-              Metrics.incr counter)
-            (List.rev is);
-          Mutex.lock j.j_lock
-    done;
-    Mutex.unlock j.j_lock;
-    Array.map
-      (function
-        | Some (Ok v) -> v
-        | Some (Error e) -> raise e
-        | None -> assert false)
-      results
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Futures: whole-task parallelism for the pipelined fuzz loop         *)
-(* ------------------------------------------------------------------ *)
 
 (* A future completes exactly once; the result cell is an atomic so the
    fast path of [await] is one load, with the mutex/condition pair only
@@ -340,18 +80,13 @@ let spawn p task =
     Mutex.unlock fut.f_lock
   in
   Metrics.incr m_spawns;
-  if p.size <= 1 || Atomic.get p.degraded then run ()
-  else
-    submit p (fun () ->
-        if Faultpoint.should_fire fp_worker then begin
-          (* Simulated domain crash while holding a future: record it,
-             then complete the future anyway — the supervision contract
-             is that injected pool faults degrade throughput, never
-             strand a waiter (cf. the parked-index recovery above). *)
-          record_crash p;
-          run ()
-        end
-        else run ());
+  if p.size <= 1 then run ()
+  else begin
+    Mutex.lock p.lock;
+    Queue.push run p.queue;
+    Condition.signal p.nonempty;
+    Mutex.unlock p.lock
+  end;
   fut
 
 let rec await p fut =
@@ -362,8 +97,7 @@ let rec await p fut =
       (* Help instead of idling: the awaiting domain drains queued tasks
          (other futures) while its own is still being computed — with a
          deep pipeline the submitting domain is a full participant, not
-         a coordinator. Every queued task is a [spawn] wrapper, which
-         never lets an exception escape. *)
+         a coordinator. *)
       let stolen =
         Mutex.lock p.lock;
         let t =
@@ -383,8 +117,6 @@ let rec await p fut =
           done;
           Mutex.unlock fut.f_lock);
       await p fut
-
-let poll fut = Atomic.get fut.f_result <> None
 
 let shutdown p =
   if p.workers <> [] then begin

@@ -50,7 +50,7 @@ let xorshift_step s =
    multiplication by the k-th power of the 64×64 transition matrix M.
    Matrices are stored column-wise (column j = image of the j-th basis
    state, one int64 per column); applying one costs at most 64 xors, and
-   M^(2^i) for i = 0..10 is precomputed lazily by repeated squaring.
+   M^(2^i) for i = 0..10 is precomputed on first use by repeated squaring.
    Sparse input fills use this to skip the PRNG over runs of data words
    the test program provably never reads. *)
 let apply_mat cols s =
@@ -61,19 +61,30 @@ let apply_mat cols s =
   done;
   !acc
 
-let jump_mats =
-  lazy
-    (let m1 = Array.init 64 (fun j -> xorshift_step (Int64.shift_left 1L j)) in
-     let square m = Array.map (fun col -> apply_mat m col) m in
-     let mats = Array.make 11 m1 in
-     for i = 1 to 10 do
-       mats.(i) <- square mats.(i - 1)
-     done;
-     mats)
+(* Built on first use, not at module initialization, so process start-up
+   does not pay for it. Worker domains of the pipelined loop may race to
+   build it: OCaml 5 [Lazy] is not domain-safe (a concurrent force raises
+   [Lazy.Undefined]), so the pure table is published through an atomic
+   instead. A racing domain may build it twice but never sees it
+   half-built. *)
+let jump_mats_cell : int64 array array option Atomic.t = Atomic.make None
+
+let jump_mats () =
+  match Atomic.get jump_mats_cell with
+  | Some mats -> mats
+  | None ->
+      let m1 = Array.init 64 (fun j -> xorshift_step (Int64.shift_left 1L j)) in
+      let square m = Array.map (fun col -> apply_mat m col) m in
+      let mats = Array.make 11 m1 in
+      for i = 1 to 10 do
+        mats.(i) <- square mats.(i - 1)
+      done;
+      Atomic.set jump_mats_cell (Some mats);
+      mats
 
 let jump s ~steps =
   if steps < 0 || steps >= 2048 then invalid_arg "Prng.jump";
-  let mats = Lazy.force jump_mats in
+  let mats = jump_mats () in
   let s = ref s in
   for i = 0 to 10 do
     if steps land (1 lsl i) <> 0 then s := apply_mat mats.(i) !s

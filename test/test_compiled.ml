@@ -6,7 +6,7 @@
    through the reference interpreter ([Compiled.interpreted], i.e.
    [Semantics.step]). Random programs are drawn at several generator
    growth levels across seeds 1-5, and the fuzzer comparison also sweeps
-   the model-stage domain pool sizes. *)
+   the executor pool sizes. *)
 
 open Revizor_isa
 open Revizor_emu
@@ -268,34 +268,6 @@ let batch_identical () =
                inputs))
         contracts)
 
-(* The batched walk fanned over a model pool: results identical to the
-   sequential batch for every pool size. *)
-let batch_pool_identical () =
-  each_case (fun ~label ~flat:_ ~compiled ~interp:_ ->
-      let inputs = batch_inputs 12 7L in
-      List.iter
-        (fun contract ->
-          let seq = Model.batch contract compiled inputs in
-          List.iter
-            (fun size ->
-              let pool = Pool.create size in
-              Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-              let par = Model.batch ~pool contract compiled inputs in
-              List.iteri
-                (fun i ((b : Model.result), (r : Model.result)) ->
-                  let here s =
-                    Printf.sprintf "%s %s pool=%d input %d: %s" label
-                      (Contract.name contract) size i s
-                  in
-                  check bool (here "ctrace") true
-                    (Ctrace.equal b.Model.ctrace r.Model.ctrace);
-                  check bool (here "faulted") r.Model.faulted b.Model.faulted;
-                  check bool (here "stream") true
-                    (Stdlib.compare b.Model.stream r.Model.stream = 0))
-                (List.combine par seq))
-            [ 1; 2; 4 ])
-        [ Contract.ct_seq; Contract.ct_cond; Contract.ct_bpas ])
-
 (* --- arena template pool ----------------------------------------------- *)
 
 (* Refilled pooled templates vs freshly allocated ones, across input sets
@@ -477,30 +449,31 @@ let stats_fingerprint (s : Fuzzer.stats) =
     s.Fuzzer.candidates s.Fuzzer.dismissed_by_swap s.Fuzzer.dismissed_by_nesting
     s.Fuzzer.rounds s.Fuzzer.growths
 
-let fuzz_with ~seed ~engine ~model_domains =
+let fuzz_with ~seed ~engine ~executor_domains =
   let cfg = Target.fuzzer_config ~seed Contract.ct_seq Target.target5 in
-  let cfg = { cfg with Fuzzer.engine; Fuzzer.model_domains } in
+  let cfg = { cfg with Fuzzer.engine; Fuzzer.executor_domains } in
   Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 25)
 
 let fuzzer_identical () =
   List.iter
     (fun seed ->
       List.iter
-        (fun model_domains ->
+        (fun executor_domains ->
           let oc, sc =
-            fuzz_with ~seed ~engine:Fuzzer.Compiled ~model_domains
+            fuzz_with ~seed ~engine:Fuzzer.Compiled ~executor_domains
           in
           let oi, si =
-            fuzz_with ~seed ~engine:Fuzzer.Interpreted ~model_domains
+            fuzz_with ~seed ~engine:Fuzzer.Interpreted ~executor_domains
           in
           let here s =
-            Printf.sprintf "seed %Ld, %d domain(s): %s" seed model_domains s
+            Printf.sprintf "seed %Ld, %d domain(s): %s" seed executor_domains
+              s
           in
           check string (here "outcome") (outcome_fingerprint oi)
             (outcome_fingerprint oc);
           check string (here "stats") (stats_fingerprint si)
             (stats_fingerprint sc))
-        [ 1; 2; 4 ])
+        [ 1; 2 ])
     seeds
 
 (* check_test_case on a known-violating gadget, both engines *)
@@ -538,8 +511,6 @@ let () =
           tc "contract model is bit-identical" `Quick model_identical;
           tc "CPU simulator is bit-identical" `Quick cpu_identical;
           tc "batched model equals per-input runs" `Quick batch_identical;
-          tc "batched model equals sequential across pool sizes" `Quick
-            batch_pool_identical;
           tc "arena templates equal fresh templates" `Quick
             arena_reuse_identical;
           tc "sparse fill is observation-equivalent" `Quick

@@ -379,11 +379,18 @@ let experiment_tests =
         check bool "tiny input counts" true (r2s.Experiments.mean_inputs <= 4.));
     tc "parallel fuzzing finds the same class of violation" `Slow (fun () ->
         let cfg = Target.fuzzer_config ~seed:1L Contract.ct_seq Target.target5 in
-        match Fuzzer.fuzz_parallel ~domains:2 cfg ~budget:(Fuzzer.Test_cases 400) with
-        | Fuzzer.Violation v, per_domain ->
-            check string "label" "V1" v.Violation.label;
-            check int "two domains reported" 2 (List.length per_domain)
-        | Fuzzer.No_violation, _ -> Alcotest.fail "parallel fuzz found nothing");
+        let run cfg =
+          match Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 400) with
+          | Fuzzer.Violation v, stats ->
+              (v.Violation.label, stats.Fuzzer.test_cases)
+          | Fuzzer.No_violation, _ -> Alcotest.fail "fuzz found nothing"
+        in
+        let label, tc = run cfg in
+        check string "label" "V1" label;
+        check Alcotest.(pair string int)
+          "pipelined run finds it at the same test case"
+          (label, tc)
+          (run { cfg with Fuzzer.executor_domains = 2; pipeline_depth = 2 }));
     tc "speculation-window sweep shape" `Quick (fun () ->
         let sweep = Experiments.ablation_speculation_window () in
         check bool "window 0 behaves like SEQ (violated)" true

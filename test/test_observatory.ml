@@ -361,8 +361,8 @@ let test_monitor_roundtrip () =
     | Some t -> t > 0.
     | None -> false);
   let health = parse (List.nth lines 1) in
-  check bool "health has pool_degraded" true
-    (Json.member "pool_degraded" health <> None);
+  check bool "health has faulted_test_cases" true
+    (Json.member "faulted_test_cases" health <> None);
   check bool "health has watchdog_trips" true
     (Json.member "watchdog_trips" health <> None);
   let metrics = parse (List.nth lines 2) in
