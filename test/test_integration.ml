@@ -1,6 +1,7 @@
 (* End-to-end tests: the full MRT pipeline against the paper's expected
    outcomes — gadget × contract × target (Table 3 shape), §6.4, §6.6,
-   fuzzing detection, the false-positive filters and the postprocessor. *)
+   fuzzing detection, the pipelined engine, the false-positive filters and
+   the postprocessor. *)
 
 open Revizor_isa
 open Revizor_uarch
@@ -176,6 +177,31 @@ let fuzz_tests =
         | None -> Alcotest.fail "ret2spec not detected");
   ]
 
+(* --- Pipelined engine: executor domains must not change results ----------------- *)
+
+let pipelined_tests =
+  [
+    tc "fuzz outcome is identical for executor_domains 1/2/4" `Slow (fun () ->
+        let run domains =
+          let cfg =
+            {
+              (Target.fuzzer_config ~seed:4L Contract.ct_seq Target.target5) with
+              Fuzzer.executor_domains = domains;
+              pipeline_depth = 2;
+            }
+          in
+          match Fuzzer.fuzz cfg ~budget:(Fuzzer.Test_cases 80) with
+          | Fuzzer.Violation v, stats ->
+              (Some v.Violation.label, stats.Fuzzer.test_cases,
+               stats.Fuzzer.candidates)
+          | Fuzzer.No_violation, stats ->
+              (None, stats.Fuzzer.test_cases, stats.Fuzzer.candidates)
+        in
+        let reference = run 1 in
+        check bool "executor_domains 2" true (run 2 = reference);
+        check bool "executor_domains 4" true (run 4 = reference));
+  ]
+
 (* --- Postprocessor ------------------------------------------------------------- *)
 
 let postprocessor_tests =
@@ -275,6 +301,7 @@ let () =
       ("table3_shape", table3_shape_tests);
       ("assumptions", assumption_tests);
       ("fuzzing", fuzz_tests);
+      ("pipelined_fuzz", pipelined_tests);
       ("postprocessor", postprocessor_tests);
       ("filters", filter_tests);
     ]
